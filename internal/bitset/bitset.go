@@ -21,8 +21,6 @@
 // bitmap patches cheap.
 package bitset
 
-import "math/bits"
-
 // Set is an adaptive compressed bitmap over non-negative integer keys.
 //
 // The one-container case (any domain under 65536 keys — every per-table
@@ -123,7 +121,10 @@ func (s *Set) Remove(i int) bool {
 
 func (s *Set) removeAt(ci int) {
 	s.keys = append(s.keys[:ci], s.keys[ci+1:]...)
-	s.cs = append(s.cs[:ci], s.cs[ci+1:]...)
+	n := len(s.cs) - 1
+	copy(s.cs[ci:], s.cs[ci+1:])
+	s.cs[n] = container{} // AndInto reuses spare slots: none may alias a live payload
+	s.cs = s.cs[:n]
 }
 
 // Contains reports whether key i is set.
@@ -292,84 +293,47 @@ func (s *Set) AndNot(o *Set) *Set {
 // AndWith replaces s with s ∩ o in place (s must be privately owned).
 func (s *Set) AndWith(o *Set) { s.replaceWith(s.And(o)) }
 
-// AndInto computes a ∩ b into s, reusing s's payload storage when the
-// shapes line up — the single-container fast paths that keep a chain of
-// intersections (the PEPS DFS) allocation-free in steady state. s must be
-// privately owned and must not alias a or b; any previous contents are
-// discarded. Empty results park their buffer in the inline container, so a
-// dead-end chain step keeps the storage for the next sibling.
+// AndInto computes a ∩ b into s in place, at any number of containers —
+// the scratch discipline that keeps a chain of intersections (the PEPS DFS)
+// allocation-free in steady state. Output slot j reuses the payload buffer
+// slot j held on the previous call, provided s owns it (never a cow one,
+// so a Clone's shared payload is never written through): bitmap∩bitmap and
+// array∩anything land in place, other encoding pairs fall back to andCtr.
+// An empty per-span result keeps its slot's buffer parked for the next
+// span, so a dead-end chain step keeps the storage for the next sibling.
+// s must be privately owned, must not alias a or b, and must not be
+// mutated this way once Cloned (the Clone would see the writes); any
+// previous contents are discarded.
 func (s *Set) AndInto(a, b *Set) {
-	if len(a.keys) != 1 || len(b.keys) != 1 || a.keys[0] != b.keys[0] {
-		s.replaceWith(a.And(b))
-		return
+	n := min(len(a.keys), len(b.keys))
+	if cap(s.keys) < n {
+		s.keys = make([]uint32, 0, n)
 	}
-	ca, cb := &a.cs[0], &b.cs[0]
-	if cb.typ < ca.typ {
-		ca, cb = cb, ca
+	if cap(s.cs) < n {
+		cs := make([]container, n)
+		copy(cs, s.cs[:cap(s.cs)]) // carry the parked buffers over
+		s.cs = cs
 	}
-	switch {
-	case ca.typ == ctBitmap && cb.typ == ctBitmap:
-		n := min(len(ca.bmp), len(cb.bmp))
-		var dst []uint64
-		if c := &s.c0[0]; c.typ == ctBitmap && !c.cow && cap(c.bmp) >= n {
-			dst = c.bmp[:n]
-		} else {
-			dst = make([]uint64, n)
-		}
-		card := 0
-		for i := 0; i < n; i++ {
-			w := ca.bmp[i] & cb.bmp[i]
-			dst[i] = w
-			card += bits.OnesCount64(w)
-		}
-		s.c0[0] = container{typ: ctBitmap, card: int32(card), bmp: dst}
-		s.publishInline(a.keys[0], card)
-	case ca.typ == ctArray:
-		// Array result no larger than the array operand; probe or merge
-		// into a reused element buffer. Scratch results skip re-encoding —
-		// they are ephemeral by contract.
-		var dst []uint16
-		if c := &s.c0[0]; c.typ == ctArray && !c.cow && cap(c.arr) >= len(ca.arr) {
-			dst = c.arr[:0]
-		} else {
-			dst = make([]uint16, 0, len(ca.arr))
-		}
-		switch cb.typ {
-		case ctArray:
-			dst = intersectArraysInto(dst, ca.arr, cb.arr)
-		case ctBitmap:
-			for _, v := range ca.arr {
-				if cb.contains(v) {
-					dst = append(dst, v)
-				}
-			}
+	keys, cs := s.keys[:cap(s.keys)], s.cs[:cap(s.cs)]
+	j, card := 0, 0
+	i, k := 0, 0
+	for i < len(a.keys) && k < len(b.keys) {
+		switch {
+		case a.keys[i] < b.keys[k]:
+			i++
+		case a.keys[i] > b.keys[k]:
+			k++
 		default:
-			if cb.isFull() {
-				dst = append(dst, ca.arr...)
-			} else {
-				dst = intersectArrayRuns(dst, ca.arr, cb.runs)
+			if c := cs[j].andInto(&a.cs[i], &b.cs[k]); c > 0 {
+				keys[j] = a.keys[i]
+				card += c
+				j++
 			}
+			i++
+			k++
 		}
-		s.c0[0] = container{typ: ctArray, card: int32(len(dst)), arr: dst}
-		s.publishInline(a.keys[0], len(dst))
-	default:
-		s.replaceWith(a.And(b))
 	}
-}
-
-// publishInline points the set at its inline container, holding card keys
-// (an empty view when card is 0, with the container parked for buffer
-// reuse).
-func (s *Set) publishInline(hk uint32, card int) {
-	s.card = card
-	if card == 0 {
-		s.keys = s.k0[:0]
-		s.cs = s.c0[:0]
-		return
-	}
-	s.keys = s.k0[:1]
-	s.keys[0] = hk
-	s.cs = s.c0[:1]
+	s.keys, s.cs, s.card = keys[:j], cs[:j], card
 }
 
 // OrWith replaces s with s ∪ o in place (s must be privately owned).

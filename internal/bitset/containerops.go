@@ -23,39 +23,20 @@ func andCtr(a, b *container) container {
 		a, b = b, a
 	}
 	switch {
-	case a.typ == ctArray && b.typ == ctArray:
-		return normalize(intersectArrays(a.arr, b.arr))
-	case a.typ == ctArray && b.typ == ctBitmap:
-		out := container{typ: ctArray, arr: make([]uint16, 0, len(a.arr))}
-		for _, v := range a.arr {
-			if b.contains(v) {
-				out.arr = append(out.arr, v)
-			}
-		}
-		out.card = int32(len(out.arr))
-		return normalize(out)
-	case a.typ == ctArray && b.typ == ctRun:
-		out := container{typ: ctArray,
-			arr: intersectArrayRuns(make([]uint16, 0, len(a.arr)), a.arr, b.runs)}
-		out.card = int32(len(out.arr))
-		return normalize(out)
-	case a.typ == ctBitmap && b.typ == ctBitmap:
-		// Stays a bitmap regardless of the result cardinality: intersection
-		// chains (the PEPS DFS) AND ephemeral results repeatedly, and the
+	case a.typ == ctArray || b.typ == ctBitmap:
+		// Array∩anything and bitmap∩bitmap share the in-place kernels.
+		// Array results re-pick their encoding; bitmap∩bitmap stays a
+		// bitmap regardless of the result cardinality: intersection chains
+		// (the PEPS DFS) AND ephemeral results repeatedly, and the
 		// word-parallel loop with no re-encoding pass is what keeps each
 		// step as cheap as the dense implementation's. Durable sets re-pick
 		// encodings at construction (fromWords) or via Optimize.
-		n := min(len(a.bmp), len(b.bmp))
-		out := container{typ: ctBitmap, bmp: make([]uint64, n)}
-		card := 0
-		for i := 0; i < n; i++ {
-			w := a.bmp[i] & b.bmp[i]
-			out.bmp[i] = w
-			card += bits.OnesCount64(w)
-		}
-		out.card = int32(card)
-		if card == 0 {
+		var out container
+		if out.andInto(a, b) == 0 {
 			return container{}
+		}
+		if out.typ == ctArray {
+			return normalize(out)
 		}
 		return out
 	case a.typ == ctBitmap && b.typ == ctRun:
@@ -103,14 +84,69 @@ func andCtr(a, b *container) container {
 	}
 }
 
-// intersectArrays intersects two sorted arrays, galloping through the
-// larger side when the sizes are lopsided (gallopRatio).
-func intersectArrays(a, b []uint16) container {
-	if len(a) > len(b) {
+// andInto writes a ∩ b into c and returns the result's cardinality,
+// reusing c's payload buffer when c owns one of the result's encoding
+// (never a cow one). Bitmap∩bitmap stays a bitmap and array∩anything stays
+// an array without a re-encoding pass (Set.AndInto's results are scratch;
+// andCtr re-encodes). Other encoding pairs take andCtr. An empty result
+// leaves c holding its buffer for reuse.
+func (c *container) andInto(a, b *container) int {
+	if b.typ < a.typ {
 		a, b = b, a
 	}
-	arr := intersectArraysInto(make([]uint16, 0, len(a)), a, b)
-	return container{typ: ctArray, card: int32(len(arr)), arr: arr}
+	switch {
+	case a.typ == ctBitmap && b.typ == ctBitmap:
+		n := min(len(a.bmp), len(b.bmp))
+		var dst []uint64
+		if c.typ == ctBitmap && !c.cow && cap(c.bmp) >= n {
+			dst = c.bmp[:n]
+		} else {
+			dst = make([]uint64, n)
+		}
+		card := 0
+		for i := 0; i < n; i++ {
+			w := a.bmp[i] & b.bmp[i]
+			dst[i] = w
+			card += bits.OnesCount64(w)
+		}
+		*c = container{typ: ctBitmap, card: int32(card), bmp: dst}
+	case a.typ == ctArray:
+		// The result is no larger than the smaller array operand.
+		need := len(a.arr)
+		if b.typ == ctArray {
+			need = min(need, len(b.arr))
+		}
+		var dst []uint16
+		if c.typ == ctArray && !c.cow && cap(c.arr) >= need {
+			dst = c.arr[:0]
+		} else {
+			dst = make([]uint16, 0, need)
+		}
+		switch b.typ {
+		case ctArray:
+			dst = intersectArraysInto(dst, a.arr, b.arr)
+		case ctBitmap:
+			for _, v := range a.arr {
+				if b.contains(v) {
+					dst = append(dst, v)
+				}
+			}
+		default:
+			if b.isFull() {
+				dst = append(dst, a.arr...)
+			} else {
+				dst = intersectArrayRuns(dst, a.arr, b.runs)
+			}
+		}
+		*c = container{typ: ctArray, card: int32(len(dst)), arr: dst}
+	default:
+		r := andCtr(a, b)
+		if r.isEmpty() {
+			return 0 // keep c's buffer parked
+		}
+		*c = r
+	}
+	return int(c.card)
 }
 
 // intersectArraysInto appends a ∩ b to dst (a is the smaller side or the

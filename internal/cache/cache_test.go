@@ -103,13 +103,27 @@ func TestCacheRemoveWhere(t *testing.T) {
 	}
 }
 
+// joinSignal is a context that counts calls to Done: flightGroup.do reads
+// ctx.Done only when an arrival joins an existing flight as a waiter, so the
+// count says how many callers have joined.
+type joinSignal struct {
+	context.Context
+	joined *atomic.Int64
+}
+
+func (c joinSignal) Done() <-chan struct{} {
+	c.joined.Add(1)
+	return c.Context.Done()
+}
+
 // TestFlightGroupDedup: N concurrent calls for one key run fn exactly once;
 // everyone shares the leader's value.
 func TestFlightGroupDedup(t *testing.T) {
 	var g flightGroup
-	var calls atomic.Int64
+	var calls, joined atomic.Int64
 	release := make(chan struct{})
 	key := entryKey{fp: fpOf(9), k: 5, kind: kindResult}
+	ctx := joinSignal{Context: context.Background(), joined: &joined}
 
 	const n = 24
 	var leaders atomic.Int64
@@ -118,7 +132,7 @@ func TestFlightGroupDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, leader, err := g.do(context.Background(), key, func() ([]combine.ScoredTuple, error) {
+			val, leader, err := g.do(ctx, key, func() ([]combine.ScoredTuple, error) {
 				calls.Add(1)
 				<-release
 				return []combine.ScoredTuple{{PID: 42, Intensity: 1}}, nil
@@ -135,8 +149,9 @@ func TestFlightGroupDedup(t *testing.T) {
 		}()
 	}
 	// Let every goroutine enqueue before the leader finishes. The leader
-	// blocks on release; waiters block on its WaitGroup.
-	for calls.Load() == 0 {
+	// blocks on release, so the flight stays open until all n-1 others
+	// have joined it as waiters.
+	for calls.Load() == 0 || joined.Load() < n-1 {
 		runtime.Gosched()
 	}
 	close(release)

@@ -105,9 +105,13 @@ func (b *Bitmap) And(o *Bitmap) *Bitmap { return &Bitmap{s: b.s.And(o.s)} }
 // zero-allocation applicability/count check the pair table and DFS use.
 func (b *Bitmap) AndCard(o *Bitmap) int { return b.s.AndCard(o.s) }
 
-// AndInto computes a ∩ o into b, reusing b's storage where possible — the
-// scratch discipline that keeps the PEPS chain DFS allocation-free. b must
-// be a private scratch bitmap, never a cached or handed-out one.
+// AndInto computes a ∩ o into b in place at any number of 64k-id spans,
+// each span reusing b's buffer from the previous call — the scratch
+// discipline that keeps the PEPS chain DFS allocation-free once warm.
+// Bitmap∩bitmap and array∩anything spans are written in place; a span
+// pairing a bitmap with a partial run container (or two run containers)
+// allocates its result. b must be a private scratch bitmap, never a cached
+// or handed-out one.
 func (b *Bitmap) AndInto(a, o *Bitmap) { b.s.AndInto(a.s, o.s) }
 
 // Any reports whether b and o intersect, with container-level early exit

@@ -162,3 +162,23 @@ func BenchmarkBitmapAndCard(b *testing.B) {
 		x.AndCard(y)
 	}
 }
+
+// BenchmarkPEPSMultiSpan runs PEPS (Complete, k = 10) over the 3-span
+// fixture: every predicate bitmap spans several 64k-id containers, so each
+// chain step is a multi-container in-place intersection and each anchor
+// boundary ranks a 140k-entry tracker.
+func BenchmarkPEPSMultiSpan(b *testing.B) {
+	ev := bigShardEvaluator(b, bigShardDB(b, bigShardRows, 3), 1)
+	prefs := bigShardProfile(b)
+	pt, err := BuildPairTable(prefs, ev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PEPS(prefs, pt, ev, 10, Complete); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -456,12 +456,6 @@ func (ev *Evaluator) comboBitmap(c Combo) (*Bitmap, error) {
 	return acc, nil
 }
 
-// ComboBitmap is the exported counting wrapper around comboBitmap.
-func (ev *Evaluator) ComboBitmap(c Combo) (*Bitmap, error) {
-	ev.ComboEvals++
-	return ev.comboBitmap(c)
-}
-
 // ComboSet evaluates a combination to its sorted tuple-id set.
 func (ev *Evaluator) ComboSet(c Combo) (IntSet, error) {
 	ev.ComboEvals++

@@ -19,15 +19,3 @@ func PEPSTraced(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, v
 	}
 	return res, err
 }
-
-// BuildPairTableTraced is BuildPairTable under a StagePairBuild span, with
-// the pair count (one intersection cardinality each) recorded.
-func BuildPairTableTraced(prefs []hypre.ScoredPred, ev *Evaluator, tr *obs.Trace) (*PairTable, error) {
-	sp := tr.StartSpan(obs.StagePairBuild)
-	pt, err := BuildPairTable(prefs, ev)
-	tr.EndSpan(sp)
-	if err == nil {
-		tr.AddPairs(int64(len(pt.Pairs)))
-	}
-	return pt, err
-}

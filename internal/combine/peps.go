@@ -2,7 +2,7 @@ package combine
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"hypre/internal/hypre"
 )
@@ -52,14 +52,11 @@ type TopKResult struct {
 const maxChainExpansions = 200000
 
 // topTracker incrementally maintains, per tuple, the best combined
-// intensity among the combinations that returned it — the structure the
-// old implementation rebuilt from scratch (collect + full sort) on every
-// anchor boundary. best is dense over the evaluator's pid dictionary;
-// unset entries are -1 (valid intensities are >= 0).
+// intensity among the combinations that returned it. best is dense over the
+// evaluator's pid dictionary; unset entries are -1 (valid intensities are
+// >= 0). Each anchor boundary ranks it with one topSelector pass.
 type topTracker struct {
-	dict *PidDict
 	best []float64
-	n    int // distinct tuples seen
 }
 
 func newTopTracker(dict *PidDict) *topTracker {
@@ -67,7 +64,7 @@ func newTopTracker(dict *PidDict) *topTracker {
 	for i := range best {
 		best[i] = -1
 	}
-	return &topTracker{dict: dict, best: best}
+	return &topTracker{best: best}
 }
 
 // update credits every tuple of bm with intensity if it beats the tuple's
@@ -75,89 +72,105 @@ func newTopTracker(dict *PidDict) *topTracker {
 func (t *topTracker) update(bm *Bitmap, intensity float64) {
 	bm.ForEach(func(i int) {
 		if t.best[i] < intensity {
-			if t.best[i] < 0 {
-				t.n++
-			}
 			t.best[i] = intensity
 		}
 	})
 }
 
-// kth returns the k-th highest best intensity and the number of distinct
-// tuples collected so far; the intensity is -1 when fewer than k tuples
-// exist. A bounded min-heap of size k replaces the old full sort.
-func (t *topTracker) kth(k int) (float64, int) {
-	if t.n < k {
-		return -1, t.n
-	}
-	heap := make([]float64, 0, k)
-	for _, v := range t.best {
-		if v < 0 {
-			continue
-		}
-		if len(heap) < k {
-			heap = append(heap, v)
-			siftUp(heap, len(heap)-1)
-		} else if v > heap[0] {
-			heap[0] = v
-			siftDown(heap, 0)
-		}
-	}
-	return heap[0], t.n
+// topSelector keeps the k best tuples offered to it, ranked by (intensity
+// desc, pid asc) — the order every PEPS result uses, with the pid tie-break
+// matching the TA baseline's. It is a binary heap whose root is the worst
+// kept tuple: a tuple that cannot enter costs one comparison, and the final
+// ranking sorts k tuples. Dense-id order is not pid order, so ties at the
+// k-th intensity are settled here, by pid, whatever order tuples arrive in.
+type topSelector struct {
+	k    int
+	heap []ScoredTuple
 }
 
-// tuples materializes the ranked result: (intensity desc, pid asc),
-// truncated at limit — the same order collectTuples produced.
-func (t *topTracker) tuples(limit int) []ScoredTuple {
-	out := make([]ScoredTuple, 0, t.n)
-	for i, v := range t.best {
-		if v >= 0 {
-			out = append(out, ScoredTuple{PID: t.dict.PID(i), Intensity: v})
-		}
+// ranksBelow reports whether t ranks strictly after u.
+func ranksBelow(t, u ScoredTuple) bool {
+	if t.Intensity != u.Intensity {
+		return t.Intensity < u.Intensity
 	}
-	sortScoredTuples(out)
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return t.PID > u.PID
 }
 
-func sortScoredTuples(out []ScoredTuple) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Intensity != out[j].Intensity {
-			return out[i].Intensity > out[j].Intensity
-		}
-		return out[i].PID < out[j].PID
-	})
+// reset empties the selector for a new selection of k, keeping its storage.
+func (s *topSelector) reset(k int) {
+	s.k = k
+	s.heap = s.heap[:0]
 }
 
-func siftUp(h []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			return
+// full reports whether k tuples are kept; floor is then the k-th best
+// intensity.
+func (s *topSelector) full() bool { return len(s.heap) >= s.k }
+
+// floor returns the worst kept tuple's intensity; the selector must not be
+// empty.
+func (s *topSelector) floor() float64 { return s.heap[0].Intensity }
+
+// offerBest offers every credited entry of a best-intensity tracker whose
+// index 0 is dense id base. An entry that cannot enter is rejected on its
+// intensity alone, before its pid is looked up.
+func (s *topSelector) offerBest(best []float64, base int, dict *PidDict) {
+	for i, v := range best {
+		if v >= 0 && (!s.full() || v >= s.heap[0].Intensity) {
+			s.offer(ScoredTuple{PID: dict.PID(base + i), Intensity: v})
 		}
-		h[p], h[i] = h[i], h[p]
-		i = p
 	}
 }
 
-func siftDown(h []float64, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h[l] < h[m] {
+// offer keeps t if fewer than k tuples are kept or t ranks above the worst.
+func (s *topSelector) offer(t ScoredTuple) {
+	h := s.heap
+	if len(h) < s.k {
+		h = append(h, t)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !ranksBelow(h[i], h[p]) {
+				break
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+		s.heap = h
+		return
+	}
+	if !ranksBelow(h[0], t) {
+		return
+	}
+	h[0] = t
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && ranksBelow(h[l], h[m]) {
 			m = l
 		}
-		if r < len(h) && h[r] < h[m] {
+		if r < len(h) && ranksBelow(h[r], h[m]) {
 			m = r
 		}
 		if m == i {
 			return
 		}
-		h[m], h[i] = h[i], h[m]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
+}
+
+// ranked returns a copy of the kept tuples in rank order.
+func (s *topSelector) ranked() []ScoredTuple {
+	out := make([]ScoredTuple, len(s.heap))
+	copy(out, s.heap)
+	slices.SortFunc(out, func(a, b ScoredTuple) int {
+		switch {
+		case ranksBelow(a, b):
+			return 1
+		case ranksBelow(b, a):
+			return -1
+		}
+		return 0
+	})
+	return out
 }
 
 // PEPS is the Practical and Efficient Preference Selection algorithm
@@ -174,8 +187,9 @@ func siftDown(h []float64, i int) {
 // conjunction from scratch), and carries the chain's Π(1−pᵢ) product so
 // the combined intensity needs one multiplication per step while staying
 // bit-identical to FAndAll over the member list. Tuple credits flow into
-// an incrementally maintained best-intensity map, so the anchor-boundary
-// early-exit check no longer rebuilds and sorts the full result set.
+// an incrementally maintained best-intensity map; each anchor boundary
+// selects the k best tuples from it with a k-bounded heap (no sort of the
+// credited set), and the last such selection is the answer.
 func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant Variant) (TopKResult, error) {
 	var res TopKResult
 	if k <= 0 || len(prefs) == 0 {
@@ -208,11 +222,12 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 	}
 
 	tr := newTopTracker(ev.dict)
+	var top topSelector
 	expansions := 0
 
 	// Per-depth scratch bitmaps for the chain DFS (one live chain per
-	// depth), shared across anchors so steady-state expansion allocates
-	// nothing.
+	// depth), shared across anchors so steady-state expansion reuses their
+	// buffers (see the DFS comment for what allocates).
 	var scratch []*Bitmap
 	scratchAt := func(depth int) *Bitmap {
 		for len(scratch) <= depth {
@@ -263,8 +278,10 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 		// quantitative-only profiles, §7.6.3). Each frame receives the
 		// parent's tuple bitmap and Π(1−pᵢ) product; extending the chain is
 		// one AND and one multiply, into a per-depth scratch bitmap (one
-		// live chain per depth), so expansion allocates nothing in steady
-		// state.
+		// live chain per depth). The AND runs in place at any span count,
+		// so expansion allocates nothing in steady state — except where a
+		// step meets a run container that does not cover its whole span,
+		// which takes the allocating kernel (Bitmap.AndInto).
 		var dfs func(last int, bm *Bitmap, depth int, prod float64) error
 		dfs = func(last int, bm *Bitmap, depth int, prod float64) error {
 			if expansions >= maxChainExpansions {
@@ -296,39 +313,15 @@ func PEPS(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, variant
 		}
 
 		// Early exit: if k tuples are already collected and no chain
-		// anchored later can beat the current k-th intensity, stop.
-		if kth, n := tr.kth(k); n >= k && a+1 < len(prefs) && suffixBound[a+1] <= kth {
+		// anchored later can beat the current k-th intensity, stop. The
+		// tracker is final after the last anchor's ranking either way.
+		top.reset(k)
+		top.offerBest(tr.best, 0, ev.dict)
+		if top.full() && a+1 < len(prefs) && suffixBound[a+1] <= top.floor() {
 			break
 		}
 	}
 
-	res.Tuples = tr.tuples(k)
+	res.Tuples = top.ranked()
 	return res, nil
-}
-
-// collectTuples assigns every tuple the best combined intensity among the
-// combinations that returned it, then ranks tuples by (intensity desc, pid
-// asc) and truncates at limit. The pid tie-break matches the TA baseline's,
-// so rankings are directly comparable. The incremental topTracker subsumes
-// this inside PEPS; it remains the reference reduction for Records
-// produced by the other Chapter 5 algorithms and for the equivalence
-// tests.
-func collectTuples(order Records, limit int) []ScoredTuple {
-	best := map[int64]float64{}
-	for _, r := range order {
-		for _, pid := range r.Tuples {
-			if cur, ok := best[pid]; !ok || r.Intensity > cur {
-				best[pid] = r.Intensity
-			}
-		}
-	}
-	out := make([]ScoredTuple, 0, len(best))
-	for pid, in := range best {
-		out = append(out, ScoredTuple{PID: pid, Intensity: in})
-	}
-	sortScoredTuples(out)
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
 }

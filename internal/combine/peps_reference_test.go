@@ -120,6 +120,35 @@ func pepsReference(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int
 	return res, nil
 }
 
+// collectTuples assigns every tuple the best combined intensity among the
+// combinations that returned it, then ranks tuples by (intensity desc, pid
+// asc) with a full sort and truncates at limit — the reference reduction
+// the oracle ranks with, independent of PEPS's k-bounded selector.
+func collectTuples(order Records, limit int) []ScoredTuple {
+	best := map[int64]float64{}
+	for _, r := range order {
+		for _, pid := range r.Tuples {
+			if cur, ok := best[pid]; !ok || r.Intensity > cur {
+				best[pid] = r.Intensity
+			}
+		}
+	}
+	out := make([]ScoredTuple, 0, len(best))
+	for pid, in := range best {
+		out = append(out, ScoredTuple{PID: pid, Intensity: in})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Intensity != out[j].Intensity {
+			return out[i].Intensity > out[j].Intensity
+		}
+		return out[i].PID < out[j].PID
+	})
+	if len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
 // equivPool is the Table 6 profile universe the equivalence trials draw
 // from: mixed venue/author/year predicates with distinct intensities.
 func equivPool(t *testing.T) []hypre.ScoredPred {
@@ -260,6 +289,84 @@ func TestBuildPairTableParallelDeterministic(t *testing.T) {
 		}
 		if math.Float64bits(e.Intensity) != math.Float64bits(c.Intensity()) {
 			t.Errorf("pair (%d,%d): intensity mismatch", e.I, e.J)
+		}
+	}
+}
+
+// multiSpanProfiles are the recompute-oracle profiles over the 3-span
+// fixture. Each leads with, or includes, a predicate matching every row, so
+// the dense dictionary covers all three spans. The first mixes broad and
+// selective predicates so chains cross every span; the second is flat:
+// each paper matching all three predicates scores the same, so thousands
+// of tuples spread over every span share the k-th intensity and the pid
+// tie-break decides the boundary.
+func multiSpanProfiles(t *testing.T) [][]hypre.ScoredPred {
+	t.Helper()
+	mixed := []hypre.ScoredPred{
+		mustSP(t, `dblp.venue="VLDB"`, 0.88),
+		mustSP(t, `dblp.year>=2010`, 0.8),
+		mustSP(t, `dblp.score<2.5`, 0.74),
+		mustSP(t, `dblp.venue IN ("KDD","WWW")`, 0.52),
+		mustSP(t, `dblp.year<1993`, 0.28),
+		mustSP(t, `dblp.year>=1990`, 0.05),
+	}
+	tied := []hypre.ScoredPred{
+		mustSP(t, `dblp.year>=1990`, 0.9),
+		mustSP(t, `dblp.venue="VLDB"`, 0.6),
+		mustSP(t, `dblp.year>=2010`, 0.5),
+	}
+	return [][]hypre.ScoredPred{mixed, tied}
+}
+
+// TestPEPSIncrementalMatchesRecomputeMultiSpan runs the recompute oracle on
+// the 3-span fixture with pids assigned in reverse row order, so dense-id
+// order disagrees with pid order: a selector that settled k-th boundary
+// ties by dense id, or span by span, would keep the wrong tuples.
+func TestPEPSIncrementalMatchesRecomputeMultiSpan(t *testing.T) {
+	db := bigShardDBWithPids(t, bigShardRows, 5, func(r int) int64 { return int64(bigShardRows - r) })
+	profiles := multiSpanProfiles(t)
+	for pi, prefs := range profiles {
+		ev := bigShardEvaluator(t, db, 1)
+		pt, err := BuildPairTable(prefs, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Dict().Size() <= 2*65536 {
+			t.Fatalf("profile %d: dict %d ids does not cross two span boundaries", pi, ev.Dict().Size())
+		}
+		for _, variant := range []Variant{Complete, Approximate} {
+			for _, k := range []int{1, 10, 500} {
+				inc, err := PEPS(prefs, pt, ev, k, variant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := pepsReference(prefs, pt, ev, k, variant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdenticalTopK(t, variant.String()+"/k="+itoa(k)+"/profile="+itoa(pi), inc, ref)
+			}
+		}
+		if pi != 1 {
+			continue
+		}
+		// The flat profile really ties across spans at k = 10: the tuples
+		// sharing the 10th intensity outnumber k and live in every span.
+		wide, err := PEPS(prefs, pt, ev, 5000, Complete)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kth := wide.Tuples[9].Intensity
+		tied, spans := 0, map[int]bool{}
+		for _, tu := range wide.Tuples {
+			if tu.Intensity == kth {
+				tied++
+				i, _ := ev.Dict().Find(tu.PID)
+				spans[i>>16] = true
+			}
+		}
+		if tied <= 10 || len(spans) < 3 {
+			t.Fatalf("tie fixture degenerate: %d tuples at the 10th intensity over %d spans", tied, len(spans))
 		}
 	}
 }

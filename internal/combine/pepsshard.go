@@ -33,7 +33,6 @@ type spanPEPS struct {
 	base       int
 	sbms       []*Bitmap
 	best       []float64 // per (dense id - base); -1 = unseen
-	n          int       // distinct tuples credited in this span
 	scratch    []*Bitmap
 	expansions int
 	combos     int
@@ -67,11 +66,7 @@ func (st *spanPEPS) scratchAt(depth int) *Bitmap {
 // the tuple's current best.
 func (st *spanPEPS) update(bm *Bitmap, intensity float64) {
 	bm.ForEach(func(i int) {
-		k := i - st.base
-		if st.best[k] < intensity {
-			if st.best[k] < 0 {
-				st.n++
-			}
+		if k := i - st.base; st.best[k] < intensity {
 			st.best[k] = intensity
 		}
 	})
@@ -116,35 +111,6 @@ func (st *spanPEPS) expandAnchor(prefs []hypre.ScoredPred, pt *PairTable,
 		seedProd := (1 - prefs[e.I].Intensity) * (1 - prefs[e.J].Intensity)
 		dfs(e.J, seed, 1, seedProd)
 	}
-}
-
-// kthAcross folds the span trackers into the global k-th highest best
-// intensity plus the number of distinct tuples collected — the same values
-// the serial tracker's kth computes, because span credits are disjoint.
-func kthAcross(states []*spanPEPS, k int) (float64, int) {
-	n := 0
-	for _, st := range states {
-		n += st.n
-	}
-	if n < k {
-		return -1, n
-	}
-	heap := make([]float64, 0, k)
-	for _, st := range states {
-		for _, v := range st.best {
-			if v < 0 {
-				continue
-			}
-			if len(heap) < k {
-				heap = append(heap, v)
-				siftUp(heap, len(heap)-1)
-			} else if v > heap[0] {
-				heap[0] = v
-				siftDown(heap, 0)
-			}
-		}
-	}
-	return heap[0], n
 }
 
 // PEPSSharded is PEPS fanned out over the container-span partitions of the
@@ -232,6 +198,7 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 		}
 	})
 
+	var top topSelector
 	kthLB := -1.0
 	for a := 0; a < len(prefs); a++ {
 		res.AnchorsUsed = a + 1
@@ -261,33 +228,25 @@ func PEPSSharded(prefs []hypre.ScoredPred, pt *PairTable, ev *Evaluator, k int, 
 			st.expandAnchor(prefs, pt, seeds, tailProd, kthLB)
 		})
 
-		// Anchor barrier: fold the global k-th bound and exit exactly when
-		// the serial tracker would.
-		if kth, n := kthAcross(states, k); n >= k {
-			kthLB = kth
-			if a+1 < len(prefs) && suffixBound[a+1] <= kth {
+		// Anchor barrier: rank across every span tracker (span credits are
+		// disjoint, so this is the serial tracker's ranking), fold the global
+		// k-th bound, and exit exactly when the serial tracker would. The
+		// trackers are final after the last anchor's ranking either way.
+		top.reset(k)
+		for _, st := range states {
+			top.offerBest(st.best, st.base, ev.dict)
+		}
+		if top.full() {
+			kthLB = top.floor()
+			if a+1 < len(prefs) && suffixBound[a+1] <= kthLB {
 				break
 			}
 		}
 	}
 
-	total := 0
 	for _, st := range states {
-		total += st.n
 		res.CombosExpanded += st.combos
 	}
-	out := make([]ScoredTuple, 0, total)
-	for _, st := range states {
-		for i, v := range st.best {
-			if v >= 0 {
-				out = append(out, ScoredTuple{PID: ev.dict.PID(st.base + i), Intensity: v})
-			}
-		}
-	}
-	sortScoredTuples(out)
-	if len(out) > k {
-		out = out[:k]
-	}
-	res.Tuples = out
+	res.Tuples = top.ranked()
 	return res, nil
 }

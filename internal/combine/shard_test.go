@@ -26,6 +26,13 @@ func shardWorkerCounts() []int {
 // anchor parallelism.
 func bigShardDB(tb testing.TB, rows int, seed int64) *relstore.DB {
 	tb.Helper()
+	return bigShardDBWithPids(tb, rows, seed, func(r int) int64 { return int64(r) })
+}
+
+// bigShardDBWithPids is bigShardDB with row r keyed by pid(r), so the dense
+// dictionary (assigned in row order) can disagree with pid order.
+func bigShardDBWithPids(tb testing.TB, rows int, seed int64, pid func(r int) int64) *relstore.DB {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := relstore.NewDB()
 	tbl, err := db.CreateTable("dblp",
@@ -40,7 +47,7 @@ func bigShardDB(tb testing.TB, rows int, seed int64) *relstore.DB {
 	venues := []string{"VLDB", "SIGMOD", "ICDE", "KDD", "WWW", "CHI"}
 	for r := 0; r < rows; r++ {
 		if _, err := tbl.Insert(
-			predicate.Int(int64(r)),
+			predicate.Int(pid(r)),
 			predicate.String(venues[rng.Intn(len(venues))]),
 			predicate.Int(int64(1990+rng.Intn(30))),
 			predicate.Float(rng.Float64()*10),

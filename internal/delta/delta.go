@@ -6,16 +6,18 @@
 // The pipeline per Sync:
 //
 //  1. Drain the committed mutations of the base table and the join table
-//     from their bounded change logs (relstore.ChangedSince, epoch-keyed).
+//     from their bounded change logs (relstore.Table.SnapshotSince,
+//     epoch-keyed).
 //  2. Map join-table changes back to affected base rows through the join
 //     key — using each change's pre-image for deletes and updates, so rows
 //     partnered with the OLD key are repaired too, not just the new one.
 //  3. Re-evaluate every cached predicate over exactly the touched base
-//     rows (Evaluator.RefreshRows → relstore.MatchLeftRows, vectorized
-//     kernels restricted to the touched rows' blocks) and patch the cached
-//     bitmaps copy-on-write.
-//  4. Recount only the pair-table entries with a changed endpoint
-//     (PairTable.Refresh).
+//     rows (Evaluator.RefreshRowSetDelta → relstore.MatchLeftRowSet,
+//     vectorized kernels restricted to the touched rows' blocks) and patch
+//     the cached bitmaps copy-on-write.
+//  4. Recount only the pair-table entries with a changed endpoint, over
+//     just the dense ids or spans that moved (PairTable.RefreshIDs,
+//     RefreshSpans, or Refresh).
 //
 // Tombstone compaction slots in as a step 2½: a compaction renumbers the
 // base table's row ids, so Sync composes the published remaps

@@ -23,7 +23,7 @@ import (
 // observes exactly one epoch per table; mutations wait for in-flight
 // readers and commit atomically under the exclusive lock. Committed
 // mutations are additionally journaled in a bounded change log with
-// pre-images, which the delta-maintenance layer drains via ChangedSince to
+// pre-images, which the delta-maintenance layer drains via SnapshotSince to
 // repair derived caches incrementally instead of rematerializing.
 
 // ChangeKind tags one committed mutation in a table's change log.
@@ -50,8 +50,8 @@ type RowChange struct {
 }
 
 // maxChangeLog is the default per-table change-log bound (override with
-// WithChangeLogCap). On overflow the oldest half is trimmed and ChangedSince
-// reports ok=false for epochs older than the trim point, telling delta
+// WithChangeLogCap). On overflow the oldest half is trimmed and SnapshotSince
+// reports LogOK=false for epochs older than the trim point, telling delta
 // consumers to fall back to a full rebuild.
 const maxChangeLog = 1 << 15
 
@@ -384,20 +384,13 @@ func (t *Table) logChange(ch RowChange) {
 	t.chLog = append(t.chLog, ch)
 }
 
-// ChangedSince returns copies of the committed mutations with epoch >
-// since, oldest first. ok=false means the log no longer reaches back that
+// changedSinceLocked returns copies of the committed mutations with epoch
+// > since, oldest first. ok=false means the log no longer reaches back that
 // far (trimmed) and the caller must fall back to a full rebuild of whatever
-// it derived from the table.
-func (t *Table) ChangedSince(since uint64) (changes []RowChange, ok bool) {
-	t.state.RLock()
-	defer t.state.RUnlock()
-	return t.changedSinceLocked(since)
-}
-
-// changedSinceLocked is ChangedSince for callers already holding the state
-// lock (at least shared) — the join-repair path runs inside a scan's lock
-// scope, where re-acquiring the shared lock could deadlock behind a queued
-// writer.
+// it derived from the table. The caller holds the state lock (at least
+// shared): SnapshotSince drains under it, and the join-repair path runs
+// inside a scan's lock scope, where re-acquiring the shared lock could
+// deadlock behind a queued writer.
 func (t *Table) changedSinceLocked(since uint64) (changes []RowChange, ok bool) {
 	if since < t.logFloor {
 		return nil, false

@@ -406,27 +406,16 @@ func (a *App) handleMutate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d ops, limit %d", len(req.Ops), a.opts.MaxOpsPerBatch))
 		return
 	}
-	// Apply and sync under one lock: the response promises the caches have
-	// absorbed this batch, and interleaved batches would make the per-batch
-	// sync stats meaningless.
-	a.syncMu.Lock()
-	applied := 0
-	var applyErr error
-	for _, op := range req.Ops {
-		if applyErr = op.Do(a.db); applyErr != nil {
-			break
+	// Reject the whole batch before touching the store or the lock.
+	for i, op := range req.Ops {
+		if err := op.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err))
+			return
 		}
-		applied++
 	}
-	stats, syncErr := a.maint.Sync()
-	a.syncMu.Unlock()
-	if applyErr != nil {
-		writeError(w, http.StatusInternalServerError,
-			fmt.Sprintf("op %d failed after %d applied: %v", applied, applied, applyErr))
-		return
-	}
-	if syncErr != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("maintenance sync: %v", syncErr))
+	applied, stats, err := a.applyBatch(req.Ops)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, mutateResponse{
@@ -437,6 +426,47 @@ func (a *App) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- helpers ---
+
+// applyBatch applies ops and syncs the maintainer under syncMu, so a mutate
+// answer promises the caches have absorbed the batch (and interleaved
+// batches would make the per-batch sync stats meaningless). The lock is
+// released on every path, and a panic in apply or sync comes back as an
+// error, so one bad batch can never wedge the mutate route.
+func (a *App) applyBatch(ops []workload.Op) (applied int, stats delta.SyncStats, err error) {
+	a.syncMu.Lock()
+	defer a.syncMu.Unlock()
+	applyErr := recovered(func() error {
+		for _, op := range ops {
+			if err := op.Do(a.db); err != nil {
+				return err
+			}
+			applied++
+		}
+		return nil
+	})
+	// Sync even after a failed op: the ops before it are committed.
+	syncErr := recovered(func() (err error) {
+		stats, err = a.maint.Sync()
+		return err
+	})
+	if applyErr != nil {
+		return applied, stats, fmt.Errorf("op %d failed after %d applied: %v", applied, applied, applyErr)
+	}
+	if syncErr != nil {
+		return applied, stats, fmt.Errorf("maintenance sync: %v", syncErr)
+	}
+	return applied, stats, nil
+}
+
+// recovered runs fn, turning a panic into an error.
+func recovered(fn func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return fn()
+}
 
 // buildSession canonicalizes a parsed profile; a profile that canonicalizes
 // to nothing is rejected (its fingerprint would alias every other empty

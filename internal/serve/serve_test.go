@@ -134,6 +134,58 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestMutateBadOpDoesNotWedge: a link_add without an author used to panic
+// inside the apply loop with the mutate lock held, so every later mutate
+// hung. It must answer 400 without applying anything, and a valid batch
+// sent after it must be answered promptly.
+func TestMutateBadOpDoesNotWedge(t *testing.T) {
+	app, net := newApp(t, nil)
+	srv := httptest.NewServer(app.Handler())
+	defer srv.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := client.Post(srv.URL+"/v1/mutate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("mutate %s: %v", body, err)
+		}
+		defer resp.Body.Close()
+		var e struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	pid := net.Papers[0].PID
+	// The bad op comes second, so an apply-as-you-go handler would have
+	// committed the first before failing.
+	bad := fmt.Sprintf(`{"ops":[{"kind":"update_year","pid":%d,"year":1899},{"kind":"link_add","pid":1}]}`, pid)
+	if code, msg := post(bad); code != http.StatusBadRequest || !strings.Contains(msg, "op 1") {
+		t.Fatalf("link_add without author: status %d (%q), want 400 naming op 1", code, msg)
+	}
+	if code, _ := post(`{"ops":[{"kind":"link_add","pid":1}]}`); code != http.StatusBadRequest {
+		t.Fatalf("lone link_add without author: status %d, want 400", code)
+	}
+	moved, err := hypre.NewScoredPred("dblp.year=1899", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := app.Uncached([]hypre.ScoredPred{moved}, 5); err != nil || len(got) != 0 {
+		t.Fatalf("rejected batch applied its first op: %v (err %v)", got, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		code, msg := post(fmt.Sprintf(`{"ops":[{"kind":"link_add","pid":%d,"authors":[1]},{"kind":"update_year","pid":%d,"year":2001}]}`, pid, pid))
+		if code != http.StatusOK {
+			t.Errorf("valid batch after a rejected one: status %d (%q)", code, msg)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("valid mutate batch hung after a rejected one: the mutate lock is wedged")
+	}
+}
+
 // TestSessionRoundTripAndSharedCache: PUT round-trips through GET, a session
 // query and an inline query of the same profile share one fingerprint and
 // one cache entry, and answers are identical.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -58,6 +59,19 @@ type Op struct {
 	Authors []int64 `json:"authors,omitempty"` // OpInsert: initial links; OpLinkAdd: Authors[0]
 }
 
+// Validate reports an op its kind cannot execute: an unknown kind, or a
+// link_add without an author. The serving tier checks every op of a batch
+// before applying any, so a bad op rejects the batch whole.
+func (op Op) Validate() error {
+	if int(op.Kind) >= len(opKindNames) {
+		return fmt.Errorf("workload: unknown op kind %d", uint8(op.Kind))
+	}
+	if op.Kind == OpLinkAdd && len(op.Authors) == 0 {
+		return errors.New("workload: link_add needs an author")
+	}
+	return nil
+}
+
 // Do executes the op against the store as one key-addressed mutation batch
 // (relstore.Batch): the op's mutations — a paper insert with its links, a
 // paper delete with its link teardown — commit as a single atomic unit, and
@@ -69,6 +83,9 @@ type Op struct {
 // is no longer live degrades to a no-op (zero rows matched) rather than an
 // error.
 func (op Op) Do(db *relstore.DB) error {
+	if err := op.Validate(); err != nil {
+		return err
+	}
 	b := db.NewBatch()
 	pid := predicate.Int(op.PID)
 	switch op.Kind {
